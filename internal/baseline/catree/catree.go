@@ -13,9 +13,11 @@
 // time ratio.
 //
 // Batch updates and range scans lock every involved leaf in ascending key
-// order (scans use hand-over-hand coupling), which makes them linearizable
-// — and is precisely the lock-based behaviour whose collapse under large
-// random batches Figure 5/6 demonstrate.
+// order and hold all of them until they finish (two-phase locking), which
+// makes them linearizable — and is precisely the lock-based behaviour whose
+// collapse under large random batches Figure 5/6 demonstrate. Because a
+// scan holds every leaf it has visited until it returns, its callback must
+// not call back into the tree.
 package catree
 
 import (
@@ -304,30 +306,27 @@ func (t *Tree[K, V]) replaceChild(p, old, nu *ctNode[K, V]) bool {
 }
 
 // RangeFrom visits entries with key >= lo ascending until fn returns false,
-// using hand-over-hand leaf locking: the next leaf's lock is taken before
-// the current one is released, which linearizes the scan against
-// single-leaf updates and whole-batch updates.
+// using two-phase leaf locking: every visited leaf stays locked until the
+// scan returns, and leaves are taken in ascending key order, the same order
+// BatchUpdate uses. A batch that touches any visited leaf therefore commits
+// wholly before or wholly after the scan, which linearizes the scan against
+// single-leaf and batch updates. A locked leaf cannot be split or joined, so
+// the leaves the scan holds keep their key ranges. fn runs with those locks
+// held and must not call back into the tree.
 func (t *Tree[K, V]) RangeFrom(lo K, fn func(key K, val V) bool) {
 	cursor := lo
-	var held *ctNode[K, V]
+	var held []*ctNode[K, V]
 	defer func() {
-		if held != nil {
-			held.mu.Unlock()
+		for _, leaf := range held {
+			leaf.mu.Unlock()
 		}
 	}()
 	for {
 		_, _, leaf, upper := t.traverse(cursor)
-		if leaf == held {
-			// Rightmost leaf reached twice: done.
-			return
-		}
 		if !lockLeaf(leaf) {
 			continue
 		}
-		if held != nil {
-			held.mu.Unlock()
-		}
-		held = leaf
+		held = append(held, leaf)
 		if !leaf.cont.ascend(cursor, fn) {
 			return
 		}

@@ -151,19 +151,24 @@ func (m *Map) minActiveScan(now int64) int64 {
 	return min
 }
 
-// pushVersion prepends a version to a cell, then prunes chain entries
-// invisible to every active scan (the newest version at or below the
-// minimal active scan version is the boundary; everything older is dead).
-func (m *Map) pushVersion(c *cell, val uint32, del bool) {
-	for {
-		cur := c.head.Load()
-		nv := &cellVer{ver: m.gv.Load(), val: val, del: del}
-		nv.next.Store(cur)
-		if c.head.CompareAndSwap(cur, nv) {
-			prune(nv, m.minActiveScan(math.MaxInt64))
-			return
-		}
+// pushVersion prepends a version to a cell, retrying until it lands.
+func (m *Map) pushVersion(c *cell, val uint32) {
+	for !m.casVersion(c, c.head.Load(), val, false) {
 	}
+}
+
+// casVersion prepends a version to a cell if its head is still cur, then
+// prunes chain entries invisible to every active scan (the newest version
+// at or below the minimal active scan version is the boundary; everything
+// older is dead). Reports whether the version was installed.
+func (m *Map) casVersion(c *cell, cur *cellVer, val uint32, del bool) bool {
+	nv := &cellVer{ver: m.gv.Load(), val: val, del: del}
+	nv.next.Store(cur)
+	if !c.head.CompareAndSwap(cur, nv) {
+		return false
+	}
+	prune(nv, m.minActiveScan(math.MaxInt64))
+	return true
 }
 
 // prune cuts the chain after the first version visible to every present and
@@ -187,7 +192,7 @@ func (m *Map) Put(key, val uint32) {
 		c := m.findChunk(key)
 		p := c.data.Load()
 		if cell := p.lookup(key); cell != nil {
-			m.pushVersion(cell, val, false)
+			m.pushVersion(cell, val)
 			return
 		}
 		if m.insertKey(c, key, val) {
@@ -206,7 +211,7 @@ func (m *Map) insertKey(c *chunk, key, val uint32) bool {
 	}
 	p := c.data.Load()
 	if cell := p.lookup(key); cell != nil {
-		m.pushVersion(cell, val, false)
+		m.pushVersion(cell, val)
 		return true
 	}
 	nc := &cell{}
@@ -258,7 +263,9 @@ func (m *Map) Get(key uint32) (uint32, bool) {
 }
 
 // Remove deletes key, reporting whether it was present. Deletion pushes a
-// tombstone version (KiWi never shrinks chunks).
+// tombstone version (KiWi never shrinks chunks). The tombstone is CASed
+// against the very head that was checked live, so of two concurrent
+// removes of one key only one reports success.
 func (m *Map) Remove(key uint32) bool {
 	c := m.findChunk(key)
 	p := c.data.Load()
@@ -266,12 +273,15 @@ func (m *Map) Remove(key uint32) bool {
 	if cell == nil {
 		return false
 	}
-	v := cell.head.Load()
-	if v == nil || v.del {
-		return false
+	for {
+		v := cell.head.Load()
+		if v == nil || v.del {
+			return false
+		}
+		if m.casVersion(cell, v, 0, true) {
+			return true
+		}
 	}
-	m.pushVersion(cell, 0, true)
-	return true
 }
 
 // RangeFrom visits entries with key >= lo ascending until fn returns false.
