@@ -50,7 +50,7 @@ func main() {
 		claims   = flag.Bool("claims", false, "measure the scalar claims of §4.3 instead of a figure")
 		micro    = flag.Bool("micro", false, "measure the read-scalability micro claims (deep-chain seeks, iterator allocs, merged-scan scaling) instead of a figure")
 		netBench = flag.Bool("net", false, "measure the network serving layer over loopback (conns sweep, pipelining on/off, batch amortization) instead of a figure")
-		replRd   = flag.Bool("replica-reads", false, "with -net: measure read offload through a WAL-shipped replica (primary-pinned vs replica-routed reads) instead of the serve-mode sweep")
+		replRd   = flag.Bool("replica-reads", false, "with -net: measure read offload through a WAL-shipped replica (primary-pinned vs replica-routed reads) instead of the conns sweep")
 		traceAB  = flag.Bool("trace", false, "with -net: measure tracing overhead — every sweep point runs against a tracing-free server and a flight-recorder-enabled one (clients sampling trace IDs at -tracesample) in interleaved A·B·B·A order, and the file records the mean delta")
 		traceSmp = flag.Float64("tracesample", 0.01, "with -net -trace: client trace-ID sample rate for the traced runs (1: every request carries an ID — the wire-overhead worst case)")
 		conns    = flag.String("conns", "1,2,4,8,16,32,64,128,256", "with -net: comma-separated client connection counts to sweep")

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"net"
 	"os"
@@ -25,31 +27,30 @@ import (
 // jiffy/client) over loopback TCP: throughput as the client connection
 // pool grows 1→256, with pipelined multiplexing on and off, and the
 // batch-amortization effect of shipping 10- and 100-op atomic batches as
-// one frame instead of ten or a hundred. The sweep runs against BOTH
-// serving cores — the sharded event loops and the goroutine-per-connection
-// fallback — so the committed numbers show what the event-loop rewrite
-// bought at each pool size, and a parity pass cross-checks that a
-// deterministic workload leaves both cores with bit-identical store
-// contents (any divergence exits nonzero; CI runs this as a smoke test).
-// By default it starts an in-process jiffyd-equivalent server on
-// 127.0.0.1:0 (uint64 keys, 100-byte payload values, harness.ShardCount
-// shards) so the whole measurement is self-contained; -netaddr points it
-// at an external server instead (single sweep, no mode control, no
-// parity). Results land in a BENCH_*.json file (BENCH_0006.json is the
-// committed instance; BENCH_0005.json predates the mode sweep).
+// one frame instead of ten or a hundred. A parity pass then runs a
+// deterministic workload through the server and directly on an embedded
+// jiffy.Sharded and compares digests of the two stores' contents, so an
+// operation the serving layer dropped, misrouted or corrupted exits
+// nonzero (CI runs this as a smoke test). By default it starts an
+// in-process jiffyd-equivalent server on 127.0.0.1:0 (uint64 keys,
+// 100-byte payload values, harness.ShardCount shards) so the whole
+// measurement is self-contained; -netaddr points it at an external server
+// instead (no parity pass). Results land in a BENCH_*.json file.
+// BENCH_0006, BENCH_0007 and BENCH_0010 are legacy instances from when
+// the server had two serving cores: their modes/mode fields name the
+// core each point ran on.
 
 // netFile is the -net JSON schema.
 type netFile struct {
-	Kind       string   `json:"kind"` // always "net"
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Shards     int      `json:"shards"`
-	Threads    int      `json:"threads"`
-	KeySpace   uint64   `json:"keyspace"`
-	Prefill    int      `json:"prefill"`
-	Duration   string   `json:"duration"`
-	When       string   `json:"when"`
-	Modes      []string `json:"modes,omitempty"`
-	Parity     string   `json:"parity,omitempty"` // "ok" when both cores converged
+	Kind       string `json:"kind"` // always "net"
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Shards     int    `json:"shards"`
+	Threads    int    `json:"threads"`
+	KeySpace   uint64 `json:"keyspace"`
+	Prefill    int    `json:"prefill"`
+	Duration   string `json:"duration"`
+	When       string `json:"when"`
+	Parity     string `json:"parity,omitempty"` // "ok" when served and embedded stores matched
 	// Trace marks a tracing A/B run (-trace): every sweep point was
 	// measured against a tracing-free server (A) and a server running the
 	// flight recorder with clients sampling trace IDs at TraceSample (B),
@@ -69,7 +70,6 @@ type netFile struct {
 // actually driving the point — max(-netthreads, conns), so wide pools are
 // not throttled by a narrow driver.
 type netPoint struct {
-	Mode      string  `json:"mode"`
 	Conns     int     `json:"conns"`
 	Threads   int     `json:"threads"`
 	Pipelined bool    `json:"pipelined"`
@@ -84,7 +84,6 @@ type netPoint struct {
 // connections, pipelined): ops per second counted in basic operations, so
 // the amortization of frame and round-trip overhead shows directly.
 type netBatchPt struct {
-	Mode      string  `json:"mode"`
 	Batch     string  `json:"batch"`
 	Conns     int     `json:"conns"`
 	TotalMops float64 `json:"total_mops"`
@@ -107,18 +106,17 @@ func netCodec() durable.Codec[uint64, *harness.Payload] {
 	return durable.Codec[uint64, *harness.Payload]{Key: durable.Uint64Enc(), Value: netPayloadEnc()}
 }
 
-// startNetServer starts the in-process loopback server in the given mode,
-// prefilled directly (the dataset is the same either way and skipping the
-// network keeps setup fast). With tracing the server gets a registered
-// flight recorder, exactly as jiffyd runs it. Returns the server and its
-// address.
-func startNetServer(mode server.Mode, base harness.Config, tracing bool) (*server.Server[uint64, *harness.Payload], string) {
+// startNetServer starts the in-process loopback server, prefilled
+// directly (skipping the network keeps setup fast). With tracing the
+// server gets a registered flight recorder, exactly as jiffyd runs it.
+// Returns the server and its address.
+func startNetServer(base harness.Config, tracing bool) (*server.Server[uint64, *harness.Payload], string) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "net bench: listen: %v\n", err)
 		os.Exit(1)
 	}
-	opts := server.Options{Mode: mode}
+	var opts server.Options
 	if tracing {
 		rec := trace.NewRecorder(0)
 		rec.RegisterMetrics(obs.NewRegistry())
@@ -152,12 +150,12 @@ func measureNetPoint(addr string, conns int, pipelined, traced bool, sampleRate 
 }
 
 // sweepOne runs the conns sweep and the batch-amortization points against
-// addr, tagging every result with mode. With a non-empty addrTraced every
-// sweep point is measured four times in A·B·B·A order — A against addr
-// (no tracing anywhere), B against addrTraced (flight recorder serving,
-// clients sampling trace IDs) — and lands as two averaged points, so
-// drift between runs cancels out of the traced-vs-untraced comparison.
-func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, threads int, base harness.Config, sampleRate float64) {
+// addr. With a non-empty addrTraced every sweep point is measured four
+// times in A·B·B·A order — A against addr (no tracing anywhere), B against
+// addrTraced (flight recorder serving, clients sampling trace IDs) — and
+// lands as two averaged points, so drift between runs cancels out of the
+// traced-vs-untraced comparison.
+func sweepOne(out *netFile, addr, addrTraced string, connsList []int, threads int, base harness.Config, sampleRate float64) {
 	traceAB := addrTraced != ""
 	base.Mix = workload.MixUpdateLookup
 	for _, conns := range connsList {
@@ -195,7 +193,6 @@ func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, thre
 				}
 				mean := mops[i] / float64(runs[i])
 				pt := netPoint{
-					Mode:      mode,
 					Conns:     conns,
 					Threads:   ptThreads,
 					Pipelined: pipelined,
@@ -208,8 +205,8 @@ func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, thre
 					pt.Runs = runs[i]
 				}
 				out.Sweep = append(out.Sweep, pt)
-				fmt.Printf("net   %-9s %-3s conns=%-3d pipelined=%-5v traced=%-5v threads=%-3d total=%8.3f Mops/s\n",
-					mode, cfg.Mix.Name, conns, pipelined, traced, ptThreads, mean)
+				fmt.Printf("net   %-3s conns=%-3d pipelined=%-5v traced=%-5v threads=%-3d total=%8.3f Mops/s\n",
+					cfg.Mix.Name, conns, pipelined, traced, ptThreads, mean)
 			}
 		}
 	}
@@ -238,21 +235,20 @@ func sweepOne(out *netFile, mode, addr, addrTraced string, connsList []int, thre
 		res := harness.Run[uint64, *harness.Payload](idx, bcfg, harness.KeyA, harness.ValA)
 		idx.Close()
 		out.Batch = append(out.Batch, netBatchPt{
-			Mode:      mode,
 			Batch:     bcfg.Batch.String(),
 			Conns:     maxConns,
 			TotalMops: res.TotalMops(),
 			TotalOps:  res.TotalOps,
 		})
-		fmt.Printf("net   %-9s w   batch=%-7s conns=%-3d threads=%-3d total=%8.3f Mops/s\n",
-			mode, bcfg.Batch.String(), maxConns, bcfg.Threads, res.TotalMops())
+		fmt.Printf("net   w   batch=%-7s conns=%-3d threads=%-3d total=%8.3f Mops/s\n",
+			bcfg.Batch.String(), maxConns, bcfg.Threads, res.TotalMops())
 	}
 }
 
 // runNet executes the serving-layer measurements and returns the file to
-// serialize. addr == "" sweeps both serving cores over in-process loopback
-// servers and cross-checks their final contents; an external addr is
-// measured as-is.
+// serialize. addr == "" sweeps an in-process loopback server and then
+// checks served against embedded contents; an external addr is measured
+// as-is.
 func runNet(addr string, connsList []int, threads int, keyspace uint64, prefill int, duration time.Duration, seed uint64, traceAB bool, sampleRate float64) *netFile {
 	out := &netFile{
 		Kind:       "net",
@@ -288,51 +284,39 @@ func runNet(addr string, connsList []int, threads int, keyspace uint64, prefill 
 		harness.Prefill[uint64, *harness.Payload](index.NewNetJiffy(c), base, harness.KeyA, harness.ValA)
 		c.Close()
 		fmt.Printf("# net bench: external server %s (prefill %d over the wire)\n", addr, prefill)
-		out.Modes = []string{"external"}
 		// An external server can't be restarted with tracing on and off;
 		// the A/B then measures the client-side cost only.
 		addrTraced := ""
 		if traceAB {
 			addrTraced = addr
 		}
-		sweepOne(out, "external", addr, addrTraced, connsList, threads, base, sampleRate)
+		sweepOne(out, addr, addrTraced, connsList, threads, base, sampleRate)
 		finishTraceAB(out, traceAB)
 		return out
 	}
 
-	for _, mode := range []server.Mode{server.ModeEventLoop, server.ModeGoroutine} {
-		srv, a := startNetServer(mode, base, false)
-		actual := srv.Mode()
-		if actual != mode {
-			// Platform without event-loop support: the fallback would
-			// measure the goroutine core twice.
-			fmt.Printf("# net bench: %v unavailable here (served as %v), skipping\n", mode, actual)
-			srv.Close()
-			continue
-		}
-		// The B side of a tracing A/B gets its own server, identically
-		// prefilled, running the flight recorder the way jiffyd does.
-		addrTraced := ""
-		var srvTraced *server.Server[uint64, *harness.Payload]
-		if traceAB {
-			srvTraced, addrTraced = startNetServer(mode, base, true)
-		}
-		fmt.Printf("# net bench: loopback server on %s, core %v (%d shards, prefill %d)\n",
-			a, actual, harness.ShardCount, prefill)
-		out.Modes = append(out.Modes, actual.String())
-		sweepOne(out, actual.String(), a, addrTraced, connsList, threads, base, sampleRate)
-		srv.Close()
-		if srvTraced != nil {
-			srvTraced.Close()
-		}
+	srv, a := startNetServer(base, false)
+	// The B side of a tracing A/B gets its own server, identically
+	// prefilled, running the flight recorder the way jiffyd does.
+	addrTraced := ""
+	var srvTraced *server.Server[uint64, *harness.Payload]
+	if traceAB {
+		srvTraced, addrTraced = startNetServer(base, true)
+	}
+	fmt.Printf("# net bench: loopback server on %s (%d shards, prefill %d)\n",
+		a, harness.ShardCount, prefill)
+	sweepOne(out, a, addrTraced, connsList, threads, base, sampleRate)
+	srv.Close()
+	if srvTraced != nil {
+		srvTraced.Close()
 	}
 
 	out.Parity = checkParity(connsList)
 	if out.Parity != "ok" {
-		fmt.Fprintf(os.Stderr, "net bench: PARITY MISMATCH between serving cores: %s\n", out.Parity)
+		fmt.Fprintf(os.Stderr, "net bench: PARITY MISMATCH between served and embedded stores: %s\n", out.Parity)
 		os.Exit(1)
 	}
-	fmt.Printf("# net bench: serve-mode parity ok\n")
+	fmt.Printf("# net bench: served-vs-embedded parity ok\n")
 	finishTraceAB(out, traceAB)
 	return out
 }
@@ -345,14 +329,13 @@ func finishTraceAB(out *netFile, traceAB bool) {
 		return
 	}
 	type key struct {
-		mode      string
 		conns     int
 		pipelined bool
 	}
 	baseline := map[key]float64{}
 	for _, pt := range out.Sweep {
 		if !pt.Traced {
-			baseline[key{pt.Mode, pt.Conns, pt.Pipelined}] = pt.TotalMops
+			baseline[key{pt.Conns, pt.Pipelined}] = pt.TotalMops
 		}
 	}
 	var sum float64
@@ -361,7 +344,7 @@ func finishTraceAB(out *netFile, traceAB bool) {
 		if !pt.Traced {
 			continue
 		}
-		if b := baseline[key{pt.Mode, pt.Conns, pt.Pipelined}]; b > 0 {
+		if b := baseline[key{pt.Conns, pt.Pipelined}]; b > 0 {
 			sum += (b - pt.TotalMops) / b * 100
 			n++
 		}
@@ -373,11 +356,85 @@ func finishTraceAB(out *netFile, traceAB bool) {
 		out.TraceOverheadPct, n)
 }
 
-// checkParity runs one deterministic workload against each serving core —
-// workers with disjoint key ranges, so the final contents are independent
-// of interleaving — then digests a full scan of each and compares. A
-// digest mismatch means one core corrupted, dropped or misrouted an
-// operation the other executed correctly.
+// parityStore is what the parity workload writes through: a served
+// client directly, or an embedded store behind embeddedParity.
+type parityStore interface {
+	Put(key uint64, val *harness.Payload) error
+	Remove(key uint64) (bool, error)
+	BatchUpdate(ops []jiffy.BatchOp[uint64, *harness.Payload]) error
+}
+
+// embeddedParity runs the parity workload on an in-process store.
+type embeddedParity struct {
+	s *jiffy.Sharded[uint64, *harness.Payload]
+}
+
+func (e embeddedParity) Put(key uint64, val *harness.Payload) error {
+	e.s.Put(key, val)
+	return nil
+}
+
+func (e embeddedParity) Remove(key uint64) (bool, error) { return e.s.Remove(key), nil }
+
+func (e embeddedParity) BatchUpdate(ops []jiffy.BatchOp[uint64, *harness.Payload]) error {
+	e.s.BatchUpdate(jiffy.BatchOf(ops...))
+	return nil
+}
+
+// parityWorkload drives workers goroutines over disjoint key ranges, so
+// the final contents are independent of interleaving and identical on
+// every store that applies each operation exactly once.
+func parityWorkload(st parityStore, workers int) error {
+	const opsPer = 2000
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(base uint64) {
+			defer wg.Done()
+			var last byte
+			for i := uint64(0); i < opsPer; i++ {
+				k := base + i%512 // revisit keys so puts overwrite and deletes hit
+				var err error
+				switch i % 5 {
+				case 0, 1, 2:
+					last = byte(i)
+					err = st.Put(k, &harness.Payload{last})
+				case 3:
+					_, err = st.Remove(k + 256)
+				case 4:
+					val := &harness.Payload{last}
+					err = st.BatchUpdate([]jiffy.BatchOp[uint64, *harness.Payload]{
+						{Key: k, Val: val},
+						{Key: k + 1, Val: val},
+						{Key: k + 100, Remove: true},
+					})
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(uint64(w * 10000))
+	}
+	wg.Wait()
+	close(errc)
+	return <-errc // nil when no worker failed
+}
+
+// parityDigest folds one key/value pair into an FNV digest of a store's
+// contents in key order.
+func parityDigest(h hash.Hash64, k uint64, v *harness.Payload) {
+	var kb [8]byte
+	binary.LittleEndian.PutUint64(kb[:], k)
+	h.Write(kb[:])
+	h.Write(v[:])
+}
+
+// checkParity runs one deterministic workload through a loopback server
+// and, identically, on an embedded jiffy.Sharded, then digests a full
+// scan of each and compares. A mismatch means the serving layer (client,
+// wire or server) dropped, misrouted or corrupted an operation.
 func checkParity(connsList []int) string {
 	conns := 8
 	for _, n := range connsList {
@@ -388,96 +445,44 @@ func checkParity(connsList []int) string {
 	if conns > 64 {
 		conns = 64 // parity needs determinism, not scale
 	}
-	digests := map[string]uint64{}
-	for _, mode := range []server.Mode{server.ModeEventLoop, server.ModeGoroutine} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Sprintf("listen: %v", err)
-		}
-		srv := server.Serve(ln, server.NewMemStore(jiffy.NewSharded[uint64, *harness.Payload](harness.ShardCount)), netCodec(), server.Options{Mode: mode})
-		if srv.Mode() != mode {
-			srv.Close()
-			continue
-		}
-		c, err := client.Dial(srv.Addr().String(), netCodec(), client.Options{Conns: conns})
-		if err != nil {
-			srv.Close()
-			return fmt.Sprintf("dial: %v", err)
-		}
+	const workers = 8
 
-		const workers, opsPer = 8, 2000
-		var wg sync.WaitGroup
-		errc := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Disjoint key range per worker: [w*10000, w*10000+opsPer).
-				base := uint64(w * 10000)
-				var val harness.Payload
-				for i := uint64(0); i < opsPer; i++ {
-					k := base + i%512 // revisit keys so puts overwrite and deletes hit
-					switch i % 5 {
-					case 0, 1, 2:
-						val[0] = byte(i)
-						if err := c.Put(k, &val); err != nil {
-							errc <- err
-							return
-						}
-					case 3:
-						if _, err := c.Remove(k + 256); err != nil {
-							errc <- err
-							return
-						}
-					case 4:
-						ops := []jiffy.BatchOp[uint64, *harness.Payload]{
-							{Key: k, Val: &val},
-							{Key: k + 1, Val: &val},
-							{Key: k + 100, Remove: true},
-						}
-						if err := c.BatchUpdate(ops); err != nil {
-							errc <- err
-							return
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errc)
-		for err := range errc {
-			c.Close()
-			srv.Close()
-			return fmt.Sprintf("%v workload: %v", mode, err)
-		}
+	embedded := jiffy.NewSharded[uint64, *harness.Payload](harness.ShardCount)
+	if err := parityWorkload(embeddedParity{embedded}, workers); err != nil {
+		return fmt.Sprintf("embedded workload: %v", err)
+	}
+	want := fnv.New64a()
+	embedded.All(func(k uint64, v *harness.Payload) bool {
+		parityDigest(want, k, v)
+		return true
+	})
 
-		h := fnv.New64a()
-		sc := c.ScanAll()
-		var kb [8]byte
-		for sc.Next() {
-			k := sc.Key()
-			for i := 0; i < 8; i++ {
-				kb[i] = byte(k >> (8 * i))
-			}
-			h.Write(kb[:])
-			h.Write(sc.Value()[:])
-		}
-		err = sc.Err()
-		sc.Close()
-		c.Close()
-		srv.Close()
-		if err != nil {
-			return fmt.Sprintf("%v scan: %v", mode, err)
-		}
-		digests[mode.String()] = h.Sum64()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return fmt.Sprintf("listen: %v", err)
 	}
-	if len(digests) < 2 {
-		return "ok" // only one core available on this platform
+	srv := server.Serve(ln, server.NewMemStore(jiffy.NewSharded[uint64, *harness.Payload](harness.ShardCount)), netCodec(), server.Options{})
+	defer srv.Close()
+	c, err := client.Dial(srv.Addr().String(), netCodec(), client.Options{Conns: conns})
+	if err != nil {
+		return fmt.Sprintf("dial: %v", err)
 	}
-	if digests["eventloop"] != digests["goroutine"] {
-		return fmt.Sprintf("eventloop digest %016x != goroutine digest %016x",
-			digests["eventloop"], digests["goroutine"])
+	defer c.Close()
+	if err := parityWorkload(c, workers); err != nil {
+		return fmt.Sprintf("served workload: %v", err)
+	}
+	got := fnv.New64a()
+	sc := c.ScanAll()
+	for sc.Next() {
+		parityDigest(got, sc.Key(), sc.Value())
+	}
+	err = sc.Err()
+	sc.Close()
+	if err != nil {
+		return fmt.Sprintf("served scan: %v", err)
+	}
+	if got.Sum64() != want.Sum64() {
+		return fmt.Sprintf("served digest %016x != embedded digest %016x", got.Sum64(), want.Sum64())
 	}
 	return "ok"
 }

@@ -210,8 +210,8 @@ func runSoak(dur time.Duration, connsN, threads int, seed uint64) *soakFile {
 	msrv := &http.Server{Handler: mux}
 	go msrv.Serve(mln)
 	url := "http://" + mln.Addr().String() + "/metrics"
-	fmt.Printf("# soak: server %s (core %v), metrics %s, %d conns, %d workers, %v\n",
-		srv.Addr(), srv.Mode(), url, connsN, threads, dur)
+	fmt.Printf("# soak: server %s, metrics %s, %d conns, %d workers, %v\n",
+		srv.Addr(), url, connsN, threads, dur)
 
 	c, err := client.Dial(srv.Addr().String(), netCodec(), client.Options{Conns: connsN})
 	if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"cmp"
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -10,14 +11,14 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the goroutine-per-connection core (ModeGoroutine): the
-// original serving path, kept while the event-loop core (loop.go) proves
-// parity, and as the portable fallback where netpoll is unsupported.
-//
-// Every connection runs two goroutines, mirroring the WAL's group-commit
-// split (internal/persist): a reader that decodes request frames and
-// executes them inline against the store, and a writer that coalesces the
-// resulting response frames into as few socket writes as possible.
+// This file is the serving core: one acceptor goroutine, and two
+// goroutines per connection mirroring the WAL's group-commit split
+// (internal/persist): a reader that decodes request frames and executes
+// them inline against the store, and a writer that coalesces the
+// resulting response frames into as few socket writes as possible. A
+// request that blocks in the store (a durable write waiting on its fsync)
+// parks only its own connection's reader; every other connection keeps
+// being served.
 
 // respPool recycles response frame buffers between a conn's reader (which
 // encodes into them) and its writer (which releases them after copying
@@ -36,9 +37,9 @@ func putResp(b []byte) {
 	respPool.Put(&b)
 }
 
-// conn is one goroutine-core client connection: the reader goroutine
-// (readLoop) executes requests and queues encoded responses on out; the
-// writer goroutine (writeLoop) coalesces them onto the socket.
+// conn is one client connection: the reader goroutine (readLoop)
+// executes requests and queues encoded responses on out; the writer
+// goroutine (writeLoop) coalesces them onto the socket.
 type conn[K cmp.Ordered, V any] struct {
 	st  connState[K, V]
 	c   net.Conn
@@ -47,17 +48,27 @@ type conn[K cmp.Ordered, V any] struct {
 	rbuf []byte // frame read buffer, reader-goroutine scratch
 }
 
-// sever closes the socket, unblocking the reader, which tears the
-// connection down.
-func (c *conn[K, V]) sever() { c.c.Close() }
+// acceptLoop accepts connections until the listener closes.
+func (s *Server[K, V]) acceptLoop() {
+	defer s.wg.Done()
+	for {
+		nc, err := s.ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			s.logf("jiffyd: accept: %v", err)
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		if !s.spawnConn(nc) {
+			return // server closed
+		}
+	}
+}
 
-// reapSessions forwards to the shared session table.
-func (c *conn[K, V]) reapSessions(deadline int64) int { return c.st.reapSessions(deadline) }
-
-// spawnConn registers nc as a goroutine-core connection and starts its
-// reader and writer. Used by ModeGoroutine for every connection, and by
-// the event-loop acceptor for connections whose fd cannot be extracted.
-// Returns false when the server is already closed (nc is closed too).
+// spawnConn registers nc and starts its reader and writer. Returns false
+// when the server is already closed (nc is closed too).
 func (s *Server[K, V]) spawnConn(nc net.Conn) bool {
 	c := &conn[K, V]{
 		st:  connState[K, V]{srv: s, sess: map[uint64]*session[K, V]{}},
@@ -136,8 +147,8 @@ func (c *conn[K, V]) writeLoop() {
 			}
 			if _, err := c.c.Write(wbuf); err == nil {
 				if tr != nil {
-					// Batch-level flush span (trace ID 0), as in the
-					// event-loop core's writev path.
+					// Batch-level flush span (trace ID 0): one write
+					// carries many responses.
 					tr.Record(trace.StageFlush, 0, 0, fstart, time.Since(fstart), int64(len(wbuf)))
 				}
 				c.st.srv.metrics.bytesOut.Add(uint64(len(wbuf)))

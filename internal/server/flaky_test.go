@@ -10,24 +10,23 @@ import (
 	"repro/internal/testutil"
 	"repro/internal/wire"
 	"repro/jiffy/client"
+	"repro/jiffy/durable"
 )
 
 // These tests put misbehaving clients in front of the server — dribbling
 // writers, mid-frame resets, readers that stop reading — and assert the
-// property that matters for a shared event loop: one bad connection
-// never blocks the loop's other connections, and every teardown is
-// clean (no goroutine, fd, or session leak; LeakCheck enforces the
-// first two, TestIdleScanCursorDoesNotBlockReclamation-style assertions
-// the third).
+// property that matters for a shared server: one bad connection never
+// blocks its neighbors, and every teardown is clean (no goroutine, fd, or
+// session leak; LeakCheck enforces the first two,
+// TestIdleScanCursorDoesNotBlockReclamation-style assertions the third).
 
-// TestFlakyNeighborsStayLive runs one event loop (Loops: 1, so every
-// connection shares it) carrying a healthy client and a crowd of flaky
-// ones — short writes fragmenting frames across many syscalls, periodic
-// stalls, and mid-frame resets. The healthy client's pings must keep
-// round-tripping throughout.
+// TestFlakyNeighborsStayLive serves a healthy client next to a crowd of
+// flaky ones — short writes fragmenting frames across many syscalls,
+// periodic stalls, and mid-frame resets. The healthy client's pings must
+// keep round-tripping throughout.
 func TestFlakyNeighborsStayLive(t *testing.T) {
 	testutil.LeakCheck(t)
-	_, _, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	_, _, addr := startServer(t, 4, Options{})
 
 	healthy := dial(t, addr, client.Options{Conns: 1})
 	if err := healthy.Ping(); err != nil {
@@ -92,14 +91,14 @@ func TestFlakyNeighborsStayLive(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSlowReaderDoesNotBlockLoop shares one event loop between a reader
-// that stops consuming responses mid-scan (forcing the server's output
-// backlog toward the high-water mark) and a healthy client. The healthy
-// client must stay live while the slow one is paused, and the slow one
-// must finish once it resumes reading.
-func TestSlowReaderDoesNotBlockLoop(t *testing.T) {
+// TestSlowReaderDoesNotBlockNeighbors serves a reader that stops
+// consuming responses mid-scan (leaving the server's writes to it
+// blocked on a full socket) next to a healthy client. The healthy client
+// must stay live while the slow one is stalled, and the slow one must
+// finish once it resumes reading.
+func TestSlowReaderDoesNotBlockNeighbors(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, _, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	s, _, addr := startServer(t, 4, Options{})
 	for i := uint64(0); i < 5000; i++ {
 		s.Put(i, i)
 	}
@@ -151,11 +150,61 @@ func TestSlowReaderDoesNotBlockLoop(t *testing.T) {
 	}
 }
 
+// TestFsyncStallDoesNotBlockNeighbors holds one client's durable PUT in a
+// 300 ms fsync stall and asserts that another client's GET, on its own
+// connection, is answered long before the stall ends: a request blocked
+// in the store must park only its own connection.
+func TestFsyncStallDoesNotBlockNeighbors(t *testing.T) {
+	testutil.LeakCheck(t)
+	const stall = 300 * time.Millisecond
+	codec := u64Codec()
+	d, err := durable.OpenSharded(t.TempDir(), 2, codec, durable.Options[uint64]{FsyncDelay: stall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, NewDurableStore(d), codec, Options{})
+	defer srv.Close()
+	writer := dial(t, srv.Addr().String(), client.Options{Conns: 1})
+	reader := dial(t, srv.Addr().String(), client.Options{Conns: 1})
+	for _, c := range []*client.Client[uint64, uint64]{writer, reader} {
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping: %v", err)
+		}
+	}
+
+	putDone := make(chan error, 1)
+	go func() { putDone <- writer.Put(1, 1) }()
+	// The PUT is executing in the store — waiting on its fsync — once the
+	// server counts it in flight.
+	testutil.Eventually(t, func() bool { return srv.metrics.inflight.Value() == 1 },
+		"PUT never reached the store")
+
+	start := time.Now()
+	if _, _, err := reader.Get(2); err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Fatalf("GET took %v behind a neighbor's %v fsync stall, want < 100ms", took, stall)
+	}
+	select {
+	case <-putDone:
+		t.Fatal("PUT finished before the GET: the GET did not overlap the stall")
+	default:
+	}
+	if err := <-putDone; err != nil {
+		t.Fatalf("put: %v", err)
+	}
+}
+
 // scanBurst builds n pipelined sessionless full-scan requests. Each
-// returns a full page (~80 KiB against the 5000-key fixture), and the
-// loop executes the whole burst inline before any flush runs, so a large
-// enough n is guaranteed to push the connection past the output
-// high-water mark and pause it.
+// returns a full page (~80 KiB against the 5000-key fixture), so a burst
+// of 128 queues ~10 MiB of responses: more than the loopback socket
+// buffers hold while the client reads nothing.
 func scanBurst(n int) []byte {
 	var req []byte
 	for id := uint64(1); id <= uint64(n); id++ {
@@ -168,16 +217,15 @@ func scanBurst(n int) []byte {
 	return req
 }
 
-// TestHalfCloseWhilePausedTearsDown pauses a connection by backpressure
-// (a scan burst whose responses the client never reads) and then
-// half-closes it with FIN. A paused connection has read interest
-// dropped, so the hangup arrives only as the always-registered
-// EPOLLRDHUP; the loop must tear the connection down from that signal.
-// Ignoring it is a 100% CPU busy-spin — level-triggered epoll re-reports
-// the event every wake — and the connection plus its sessions never die.
+// TestHalfCloseWhilePausedTearsDown backs a connection up (a scan burst
+// whose responses the client never reads, so the server's writer blocks
+// on a full socket) and then half-closes it with FIN. The server must
+// tear the connection down from the hangup even though its writer is
+// stuck; a connection that waited for its backlog to drain first would
+// never die, and neither would its sessions.
 func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, srv, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	s, srv, addr := startServer(t, 4, Options{})
 	for i := uint64(0); i < 5000; i++ {
 		s.Put(i, i)
 	}
@@ -186,8 +234,8 @@ func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer nc.Close()
-	// 128 full pages ≈ 10 MiB of responses: comfortably past the 8 MiB
-	// high-water mark, so the connection pauses with most of it queued.
+	// 128 full pages ≈ 10 MiB of responses: more than the socket buffers
+	// hold, so most of it stays queued server-side.
 	if _, err := nc.Write(scanBurst(128)); err != nil {
 		t.Fatalf("write scan burst: %v", err)
 	}
@@ -196,8 +244,8 @@ func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 		defer srv.mu.Unlock()
 		return len(srv.conns) == 1
 	}, "server never registered the connection")
-	// Let the burst execute and the high-water pause engage, then send
-	// FIN without having read a byte.
+	// Let the burst execute and the writer block, then send FIN without
+	// having read a byte.
 	time.Sleep(50 * time.Millisecond)
 	if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatalf("half-close: %v", err)
@@ -206,20 +254,18 @@ func TestHalfCloseWhilePausedTearsDown(t *testing.T) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		return len(srv.conns) == 0
-	}, "paused connection not torn down after peer half-close")
+	}, "backed-up connection not torn down after peer half-close")
 }
 
-// TestBurstWithPromptReaderNeverWedges is the regression test for a
-// dropped end-of-wake flush mark: when a flush during the dirtyq pass
-// drains a paused connection below the low-water mark (a prompt reader
-// keeps the socket writable), the resumed frame processing re-marks the
-// connection dirty mid-pass. Those marks used to be silently dropped with
-// the dirty flag left set, after which every later markDirty no-opped and
-// responses sat buffered forever. Each round's trailing ping probes for
-// exactly that wedge.
+// TestBurstWithPromptReaderNeverWedges sends bursts large enough to fill
+// the socket buffers to a reader that drains them promptly: the server's
+// writer repeatedly blocks and resumes mid-burst while the reader keeps
+// executing. Every response must arrive, and each round's trailing ping
+// probes for a connection left wedged with responses queued but never
+// written.
 func TestBurstWithPromptReaderNeverWedges(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, _, addr := startServer(t, 4, Options{Mode: ModeEventLoop, Loops: 1})
+	s, _, addr := startServer(t, 4, Options{})
 	for i := uint64(0); i < 5000; i++ {
 		s.Put(i, i)
 	}
@@ -264,7 +310,7 @@ func TestBurstWithPromptReaderNeverWedges(t *testing.T) {
 // LeakCheck sees no goroutine or fd residue.
 func TestMidFrameResetCleansUp(t *testing.T) {
 	testutil.LeakCheck(t)
-	s, srv, addr := startServer(t, 2, Options{Mode: ModeEventLoop, Loops: 1, SnapTTL: time.Hour})
+	s, srv, addr := startServer(t, 2, Options{SnapTTL: time.Hour})
 	s.Put(1, 10)
 
 	full := wire.AppendFrame(nil, 5, wire.OpSnap, nil)

@@ -45,7 +45,7 @@ var statusNames = [wire.StatusErr + 1]string{
 	wire.StatusErr:         "error",
 }
 
-// metrics is the server's instrument panel, shared by both cores.
+// metrics is the server's instrument panel.
 type metrics struct {
 	// Protocol engine (state.go, via connState.exec).
 	requests  [len(opNames)]*obs.Counter   // completed requests by op
@@ -53,25 +53,16 @@ type metrics struct {
 	responses [len(statusNames)]*obs.Counter
 	inflight  *obs.UpDown
 
-	// Connection lifecycle (accept.go, conn.go, loop.go).
-	connsTotal  *obs.Counter
-	conns       *obs.UpDown
-	connsPaused *obs.UpDown
-	pauses      *obs.Counter
-	resumes     *obs.Counter
-	bytesIn     *obs.Counter
-	bytesOut    *obs.Counter
+	// Connection lifecycle (conn.go).
+	connsTotal *obs.Counter
+	conns      *obs.UpDown
+	bytesIn    *obs.Counter
+	bytesOut   *obs.Counter
 
 	// Snapshot sessions (state.go, server.go reaper).
 	sessionsOpen   *obs.UpDown
 	sessionsOpened *obs.Counter
 	sessionsReaped *obs.Counter
-
-	// Event-loop core (loop.go, flush.go).
-	loopWakeups  *obs.Counter
-	dirtyqDepth  *obs.Histogram
-	writevBytes  *obs.Histogram
-	writevIovecs *obs.Histogram
 }
 
 func newMetrics(r *obs.Registry) *metrics {
@@ -96,12 +87,6 @@ func newMetrics(r *obs.Registry) *metrics {
 		"Connections accepted since start.")
 	m.conns = r.UpDown("jiffyd_connections",
 		"Connections currently registered.")
-	m.connsPaused = r.UpDown("jiffyd_connections_paused",
-		"Connections with reading suspended by output backpressure.")
-	m.pauses = r.Counter("jiffyd_backpressure_pauses_total",
-		"Transitions into read-paused (output high-water crossed).")
-	m.resumes = r.Counter("jiffyd_backpressure_resumes_total",
-		"Transitions out of read-paused (backlog drained).")
 	m.bytesIn = r.Counter("jiffyd_bytes_read_total",
 		"Request bytes read from clients.")
 	m.bytesOut = r.Counter("jiffyd_bytes_written_total",
@@ -112,15 +97,6 @@ func newMetrics(r *obs.Registry) *metrics {
 		"Snapshot sessions opened since start.")
 	m.sessionsReaped = r.Counter("jiffyd_sessions_reaped_total",
 		"Snapshot sessions closed by the idle-TTL reaper.")
-	m.loopWakeups = r.Counter("jiffyd_loop_wakeups_total",
-		"Event-loop poll returns (readiness bursts serviced).")
-	m.dirtyqDepth = r.Histogram("jiffyd_loop_dirtyq_depth",
-		"Connections flushed per event-loop wake (response coalescing width).",
-		obs.CountBuckets)
-	m.writevBytes = r.Histogram("jiffyd_writev_bytes",
-		"Bytes per writev flush.", obs.SizeBuckets)
-	m.writevIovecs = r.Histogram("jiffyd_writev_iovecs",
-		"Output chunks per writev flush.", obs.CountBuckets)
 	return m
 }
 
@@ -132,7 +108,7 @@ func opIndex(op byte) int {
 	return 0
 }
 
-// exec is the instrumented request executor both cores call instead of
+// exec is the instrumented request executor the reader calls instead of
 // connState.handle: strip the trace envelope, arm the request's trace
 // context, count, time, execute, classify the response status, and leave
 // the server-side span (plus the slow-request log line when the request

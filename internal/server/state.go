@@ -23,18 +23,16 @@ type session[K cmp.Ordered, V any] struct {
 
 func (s *session[K, V]) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 
-// connState is the protocol engine shared by both server cores: the
-// session table, the per-connection scratch buffers, and the request
-// handlers. Handlers append their encoded response frame onto the dst
-// slice they are given and return the extended slice — the goroutine core
-// hands them a pooled buffer per request, the event-loop core its
-// connection's coalescing output chunk, so execution is identical and only
-// the I/O framing around it differs.
+// connState is a connection's protocol engine: the session table, the
+// per-connection scratch buffers, and the request handlers. Handlers
+// append their encoded response frame onto the dst slice they are given
+// and return the extended slice, so the engine knows nothing of the I/O
+// framing around it (conn.go).
 //
 // Exactly one goroutine executes handlers for a given connection at a
-// time (the conn's reader, or its event loop), so the scratch fields need
-// no locks. The session table is additionally touched by the TTL reaper
-// and by teardown, hence smu.
+// time (the conn's reader), so the scratch fields need no locks. The
+// session table is additionally touched by the TTL reaper and by
+// teardown, hence smu.
 type connState[K cmp.Ordered, V any] struct {
 	srv *Server[K, V]
 

@@ -30,86 +30,89 @@ func spansByStage(r *trace.Recorder) map[trace.Stage]map[uint64]int {
 }
 
 // TestTracePropagationBothCores proves the trace envelope crosses the
-// wire and stitches client-side and server-side spans by one ID, on both
-// serving cores, through the durable store so the WAL stage shows up.
+// wire and stitches client-side and server-side spans by one ID, through
+// the durable store so the WAL stage shows up. The test and its
+// "goroutine" subtest keep the names they had when the server carried a
+// second (event-loop) core, so their history stays continuous; they now
+// run on the only serving core.
 func TestTracePropagationBothCores(t *testing.T) {
+	t.Run("goroutine", testTracePropagation)
+}
+
+func testTracePropagation(t *testing.T) {
 	testutil.LeakCheck(t)
-	for _, mode := range []Mode{ModeGoroutine, ModeEventLoop} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			codec := u64Codec()
-			srec := trace.NewRecorder(4096)
-			d, err := durable.OpenSharded(dir, 2, codec, durable.Options[uint64]{Tracer: srec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := Serve(ln, NewDurableStore(d), codec, Options{Mode: mode, Loops: 1, Tracer: srec})
-			defer srv.Close()
+	dir := t.TempDir()
+	codec := u64Codec()
+	srec := trace.NewRecorder(4096)
+	d, err := durable.OpenSharded(dir, 2, codec, durable.Options[uint64]{Tracer: srec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, NewDurableStore(d), codec, Options{Tracer: srec})
+	defer srv.Close()
 
-			crec := trace.NewRecorder(4096)
-			c, err := client.Dial(srv.Addr().String(), codec, client.Options{
-				Conns: 2, Tracer: crec, TraceSample: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	crec := trace.NewRecorder(4096)
+	c, err := client.Dial(srv.Addr().String(), codec, client.Options{
+		Conns: 2, Tracer: crec, TraceSample: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-			const n = 50
-			for i := uint64(0); i < n; i++ {
-				if err := c.Put(i, i*3); err != nil {
-					t.Fatalf("put: %v", err)
-				}
-			}
-			for i := uint64(0); i < n; i++ {
-				if v, ok, err := c.Get(i); err != nil || !ok || v != i*3 {
-					t.Fatalf("get %d = %d/%v/%v", i, v, ok, err)
-				}
-			}
+	const n = 50
+	for i := uint64(0); i < n; i++ {
+		if err := c.Put(i, i*3); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	for i := uint64(0); i < n; i++ {
+		if v, ok, err := c.Get(i); err != nil || !ok || v != i*3 {
+			t.Fatalf("get %d = %d/%v/%v", i, v, ok, err)
+		}
+	}
 
-			cs, ss := spansByStage(crec), spansByStage(srec)
-			clientIDs := cs[trace.StageClient]
-			if len(clientIDs) < n {
-				t.Fatalf("client recorded %d traced round trips, want >= %d", len(clientIDs), n)
-			}
-			if len(cs[trace.StageClientEnqueue]) == 0 {
-				t.Fatalf("no client_enqueue spans (pipelined writer should record queue wait)")
-			}
-			// Every client-side ID must reappear in the server's recorder —
-			// that is the wire propagation — and traced puts must leave a
-			// WAL span under the same ID.
-			joined, walJoined := 0, 0
-			for id := range clientIDs {
-				if id == 0 {
-					t.Fatalf("client recorded an untraced span as traced")
-				}
-				if ss[trace.StageServer][id] > 0 {
-					joined++
-				}
-				if ss[trace.StageWAL][id] > 0 {
-					walJoined++
-				}
-			}
-			if joined != len(clientIDs) {
-				t.Fatalf("only %d of %d client trace IDs joined server spans", joined, len(clientIDs))
-			}
-			if walJoined < n {
-				t.Fatalf("only %d trace IDs joined WAL spans, want >= %d (one per put)", walJoined, n)
-			}
-			// Batch-level spans carry trace ID 0: response flushes on this
-			// core, and the group-commit fsyncs under the store.
-			if len(ss[trace.StageFlush]) == 0 || ss[trace.StageFlush][0] == 0 {
-				t.Fatalf("no flush spans: %v", ss[trace.StageFlush])
-			}
-			if ss[trace.StageFsync][0] == 0 {
-				t.Fatalf("no fsync spans")
-			}
-		})
+	cs, ss := spansByStage(crec), spansByStage(srec)
+	clientIDs := cs[trace.StageClient]
+	if len(clientIDs) < n {
+		t.Fatalf("client recorded %d traced round trips, want >= %d", len(clientIDs), n)
+	}
+	if len(cs[trace.StageClientEnqueue]) == 0 {
+		t.Fatalf("no client_enqueue spans (pipelined writer should record queue wait)")
+	}
+	// Every client-side ID must reappear in the server's recorder —
+	// that is the wire propagation — and traced puts must leave a
+	// WAL span under the same ID.
+	joined, walJoined := 0, 0
+	for id := range clientIDs {
+		if id == 0 {
+			t.Fatalf("client recorded an untraced span as traced")
+		}
+		if ss[trace.StageServer][id] > 0 {
+			joined++
+		}
+		if ss[trace.StageWAL][id] > 0 {
+			walJoined++
+		}
+	}
+	if joined != len(clientIDs) {
+		t.Fatalf("only %d of %d client trace IDs joined server spans", joined, len(clientIDs))
+	}
+	if walJoined < n {
+		t.Fatalf("only %d trace IDs joined WAL spans, want >= %d (one per put)", walJoined, n)
+	}
+	// Batch-level spans carry trace ID 0: coalesced response flushes,
+	// and the group-commit fsyncs under the store.
+	if len(ss[trace.StageFlush]) == 0 || ss[trace.StageFlush][0] == 0 {
+		t.Fatalf("no flush spans: %v", ss[trace.StageFlush])
+	}
+	if ss[trace.StageFsync][0] == 0 {
+		t.Fatalf("no fsync spans")
 	}
 }
 

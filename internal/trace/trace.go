@@ -56,9 +56,8 @@ const (
 	// StageFsync is one group-commit fsync at the WAL leader (trace ID 0:
 	// a batch serves many requests; Extra carries the batch byte count).
 	StageFsync
-	// StageFlush is one response flush write — a writev (event-loop core)
-	// or a coalesced write (goroutine core); trace ID 0, Extra carries
-	// the flushed byte count.
+	// StageFlush is one coalesced response write on a server connection;
+	// trace ID 0, Extra carries the flushed byte count.
 	StageFlush
 	// StageReplStream is replication streaming: from a record's publish
 	// into the tap to its batch frame being written to one subscriber.
@@ -262,7 +261,7 @@ func (r *Recorder) Snapshot() []Span {
 	return out
 }
 
-// Ctx is the per-request trace context a serving core threads through the
+// Ctx is the per-request trace context the server threads through the
 // layers a request crosses: the propagated trace ID plus per-stage
 // nanosecond accumulators for the slow-request breakdown. It is embedded
 // by value in per-connection state and reused across requests (Arm
